@@ -28,8 +28,9 @@
 //!                  engine, 0 = all host cores. Results are byte-identical
 //!                  for any value; only wall-clock changes
 //!   --out DIR      output directory (default results)
-//!   --baseline F   (bench4/bench6/bench7) gate against the matching prior
-//!                  BENCH_N.json: fail on a >20% normalized regression
+//!   --baseline F   (bench4/bench6/bench7/bench8) gate against the matching
+//!                  prior BENCH_N.json: fail when the in-run ratio's geomean
+//!                  (and, for bench4/bench6, any cell) falls below its floor
 //!   --deny warnings    (lint only) exit nonzero on warnings, not just errors
 //!   --window N     (lint only) A2A005 per-destination send window (default 32)
 //!   --jobs N       (serve only) jobs to push through the service (default 2000)
@@ -259,164 +260,48 @@ fn main() -> ExitCode {
             println!("  [tune done in {:.1?}]", start.elapsed());
             continue;
         }
-        if name == "bench4" {
-            let report = a2a_bench::bench4(cfg.nodes);
-            println!("\n{}", report.table());
-            println!(
-                "  geomean speedup (fast vs legacy executor): {:.2}x",
-                report.geomean_speedup()
-            );
-            std::fs::create_dir_all(&out_dir).expect("create output dir");
-            std::fs::write(
-                out_dir.join("BENCH_4.json"),
-                serde_json::to_string_pretty(&report).expect("serialize"),
-            )
-            .expect("write BENCH_4.json");
-            println!("  [bench4 done in {:.1?}]", start.elapsed());
-            if let Some(path) = &baseline {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-                let base: a2a_bench::Bench4Report =
-                    serde_json::from_str(&text).expect("parse baseline BENCH_4.json");
-                let bad = report.regressions_against(&base);
-                if !bad.is_empty() {
-                    for (algo, bytes, ratio) in &bad {
-                        eprintln!(
-                            "REGRESSION: {algo} @ {bytes} B legacy-normalized msgs/sec at {:.2}x of baseline (floor {})",
-                            ratio,
-                            a2a_bench::REGRESSION_FLOOR
-                        );
-                    }
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "  baseline gate passed ({} cells vs {})",
-                    report.cells.len(),
-                    path.display()
-                );
-            }
-            continue;
-        }
-        if name == "bench6" {
-            let report = a2a_bench::bench6(&cfg);
-            println!("\n{}", report.table());
-            println!(
-                "  geomean speedup (sharded vs sequential engine): {:.2}x",
-                report.geomean_speedup()
-            );
-            std::fs::create_dir_all(&out_dir).expect("create output dir");
-            std::fs::write(
-                out_dir.join("BENCH_6.json"),
-                serde_json::to_string_pretty(&report).expect("serialize"),
-            )
-            .expect("write BENCH_6.json");
-            println!("  [bench6 done in {:.1?}]", start.elapsed());
-            if let Some(path) = &baseline {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-                let base: a2a_bench::Bench6Report =
-                    serde_json::from_str(&text).expect("parse baseline BENCH_6.json");
-                let bad = report.regressions_against(&base);
-                if !bad.is_empty() {
-                    for (algo, bytes, ratio) in &bad {
-                        eprintln!(
-                            "REGRESSION: {algo} @ {bytes} B sequential-normalized events/sec at {:.2}x of baseline (floor {})",
-                            ratio,
-                            a2a_bench::REGRESSION_FLOOR
-                        );
-                    }
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "  baseline gate passed ({} cells vs {})",
-                    report.cells.len(),
-                    path.display()
-                );
-            }
-            continue;
-        }
-        if name == "bench7" {
+        let workers = cfg.workers.max(1);
+        let bench = match name.as_str() {
+            "bench4" => Some((a2a_bench::bench4(cfg.nodes), vec![("nodes", cfg.nodes)])),
+            "bench6" => Some((
+                a2a_bench::bench6(&cfg),
+                vec![("nodes", cfg.nodes), ("workers", cfg.resolved_workers())],
+            )),
             // Cold cells compile+lint per job, so default to a small grid
             // (like `lint`); `--nodes` scales it up explicitly.
-            let nodes = if nodes_set { cfg.nodes } else { 4 };
-            let workers = cfg.workers.max(1);
-            let report = a2a_bench::bench7(nodes, workers, tenants);
-            println!("\n{}", report.table());
-            std::fs::create_dir_all(&out_dir).expect("create output dir");
-            std::fs::write(
-                out_dir.join("BENCH_7.json"),
-                serde_json::to_string_pretty(&report).expect("serialize"),
-            )
-            .expect("write BENCH_7.json");
-            println!("  [bench7 done in {:.1?}]", start.elapsed());
-            if !report.meets_floor() {
-                eprintln!(
-                    "FAILED: warm cache sustains only {:.2}x the cold rate (hard floor {}x)",
-                    report.geomean_warm_over_cold(),
-                    a2a_bench::WARM_COLD_FLOOR
-                );
+            "bench7" => {
+                let nodes = if nodes_set { cfg.nodes } else { 4 };
+                let report = a2a_bench::bench7(nodes, workers, tenants);
+                Some((report, vec![("nodes", nodes), ("workers", workers)]))
+            }
+            "bench8" => {
+                let nodes = if nodes_set { cfg.nodes } else { 1 };
+                let report = a2a_bench::bench8(nodes, workers, tenants);
+                Some((report, vec![("nodes", nodes), ("workers", workers)]))
+            }
+            _ => None,
+        };
+        if let Some((report, requested)) = bench {
+            let spec = a2a_bench::ledger::spec(&report.bench).expect("every bench has a spec");
+            println!("\n{}", spec.table(&report));
+            let path = report.save(&out_dir).expect("write bench report");
+            println!(
+                "  [{name} done in {:.1?}, wrote {}]",
+                start.elapsed(),
+                path.display()
+            );
+            let base = baseline.as_deref().map(|p| {
+                a2a_bench::Report::load(p).unwrap_or_else(|e| panic!("read baseline {e}"))
+            });
+            let mut failures = spec.check(&report, &requested);
+            failures.extend(spec.gate(&report, base.as_ref()));
+            for f in &failures {
+                eprintln!("FAILED: {} {f}", spec.bench);
+            }
+            if !failures.is_empty() {
                 return ExitCode::FAILURE;
             }
             if let Some(path) = &baseline {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-                let base: a2a_bench::Bench7Report =
-                    serde_json::from_str(&text).expect("parse baseline BENCH_7.json");
-                let bad = report.regressions_against(&base);
-                if !bad.is_empty() {
-                    for (algo, bytes, ratio) in &bad {
-                        eprintln!(
-                            "REGRESSION: {algo} @ {bytes} B cold-normalized jobs/sec at {:.2}x of baseline (floor {})",
-                            ratio,
-                            a2a_bench::BENCH7_REGRESSION_FLOOR
-                        );
-                    }
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "  baseline gate passed ({} cells vs {})",
-                    report.cells.len(),
-                    path.display()
-                );
-            }
-            continue;
-        }
-        if name == "bench8" {
-            let nodes = if nodes_set { cfg.nodes } else { 1 };
-            let workers = cfg.workers.max(1);
-            let report = a2a_bench::bench8(nodes, workers, tenants);
-            println!("\n{}", report.table());
-            std::fs::create_dir_all(&out_dir).expect("create output dir");
-            std::fs::write(
-                out_dir.join("BENCH_8.json"),
-                serde_json::to_string_pretty(&report).expect("serialize"),
-            )
-            .expect("write BENCH_8.json");
-            println!("  [bench8 done in {:.1?}]", start.elapsed());
-            if !report.meets_floor() {
-                eprintln!(
-                    "FAILED: geomean goodput under overload at {:.2}x of the warm rate (hard floor {}x)",
-                    report.geomean_goodput_over_warm(),
-                    a2a_bench::OVERLOAD_FLOOR
-                );
-                return ExitCode::FAILURE;
-            }
-            if let Some(path) = &baseline {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-                let base: a2a_bench::Bench8Report =
-                    serde_json::from_str(&text).expect("parse baseline BENCH_8.json");
-                let bad = report.regressions_against(&base);
-                if !bad.is_empty() {
-                    for (scope, ratio) in &bad {
-                        eprintln!(
-                            "REGRESSION: {scope} warm-normalized goodput at {:.2}x of baseline (floor {})",
-                            ratio,
-                            a2a_bench::BENCH8_REGRESSION_FLOOR
-                        );
-                    }
-                    return ExitCode::FAILURE;
-                }
                 println!(
                     "  baseline gate passed ({} cells vs {})",
                     report.cells.len(),

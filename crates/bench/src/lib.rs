@@ -17,6 +17,7 @@
 pub mod chaos;
 pub mod figures;
 pub mod harness;
+pub mod ledger;
 pub mod lint_sweep;
 pub mod microbench;
 pub mod service_bench;
@@ -31,17 +32,12 @@ pub use figures::{figure_by_name, known_figures};
 pub use harness::{
     machine_for, run_min, FigureData, RunConfig, Series, DEFAULT_SIZES, PAPER_GROUP_SIZES,
 };
+pub use ledger::Report;
 pub use lint_sweep::{lint_roster, LintCell, LintSweep};
-pub use service_bench::{
-    bench7, serve_demo, Bench7Cell, Bench7Report, BENCH7_REGRESSION_FLOOR, BENCH7_SIZES,
-    WARM_COLD_FLOOR,
-};
-pub use simrate::{bench6, Bench6Cell, Bench6Report};
-pub use storm::{
-    bench8, storm, Bench8Cell, Bench8Report, StormRecord, StormReport, BENCH8_REGRESSION_FLOOR,
-    OVERLOAD_FLOOR,
-};
-pub use throughput::{bench4, Bench4Cell, Bench4Report, REGRESSION_FLOOR};
+pub use service_bench::{bench7, serve_demo, BENCH7_SIZES};
+pub use simrate::bench6;
+pub use storm::{bench8, storm, StormRecord, StormReport};
+pub use throughput::bench4;
 pub use tune::{tune, TuneResult};
 pub use verify_sweep::{
     verify_roster, MutationCheck, VerifyCell, VerifyReport, STATIC_BOUND_FACTOR,

@@ -27,32 +27,18 @@
 //! throughput number can never come from a wrong answer. The report
 //! (`BENCH_7.json`) carries both rates plus the warm/cold ratio per cell
 //! and can be gated against a checked-in baseline (`repro bench7
-//! --baseline`); independent of any baseline, the sweep fails outright if
-//! the geomean warm/cold ratio falls below [`WARM_COLD_FLOOR`].
+//! --baseline`) by [`crate::ledger::BENCH7`]; independent of any
+//! baseline, the sweep fails outright if the geomean warm/cold ratio
+//! falls below its hard 5x floor.
 
 use std::time::{Duration, Instant};
 
+use crate::ledger::{Cell, Named, Report, BENCH7};
+use crate::throughput::{bench4_grid, bench4_roster};
 use a2a_core::AlltoallAlgorithm;
 use a2a_sched::{fill_alltoall_sbuf, DataExecutor};
 use a2a_service::{Engine, JobSpec, Service, ServiceConfig, ServiceStats};
 use a2a_topo::ProcGrid;
-use serde::{Deserialize, Serialize};
-
-use crate::throughput::{bench4_grid, bench4_roster};
-
-/// The acceptance floor: a warm cache must sustain at least this multiple
-/// of the cold per-job rate (sweep geomean). A service that recompiles,
-/// revalidates, or relints on the hot path lands near 1x and fails.
-pub const WARM_COLD_FLOOR: f64 = 5.0;
-
-/// Baseline gate: the sweep's geomean warm/cold ratio may fall to at most
-/// this fraction of the baseline's. Looser than BENCH_4/BENCH_6's 0.8
-/// because the cold mode is bounded by thread-scope parking, which
-/// scheduling noise swings by integer factors per cell (and ~±15% on the
-/// geomean even on an idle host); the hard [`WARM_COLD_FLOOR`] carries
-/// the absolute acceptance, this gate catches collapses relative to the
-/// checked-in baseline.
-pub const BENCH7_REGRESSION_FLOOR: f64 = 0.5;
 
 /// Wall-clock budget per timed mode; burst sizes adapt to it.
 const TARGET: Duration = Duration::from_millis(150);
@@ -62,119 +48,6 @@ const TARGET: Duration = Duration::from_millis(150);
 /// made of. The full six-size BENCH_4 sweep would multiply runtime
 /// without exercising any new service path.
 pub const BENCH7_SIZES: [u64; 2] = [16, 64];
-
-/// One `(algorithm, block size)` measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bench7Cell {
-    pub algo: String,
-    /// Per-pair block bytes.
-    pub bytes: u64,
-    /// Jobs executed in this cell (both modes, bursts included).
-    pub jobs: u64,
-    /// Pre-service stack: per-job compile + lint + thread-scope spin-up.
-    pub cold_jobs_per_sec: f64,
-    /// Warm service: cache hits + persistent pool + pooled scratches +
-    /// batching.
-    pub warm_jobs_per_sec: f64,
-    /// `warm_jobs_per_sec / cold_jobs_per_sec`.
-    pub warm_over_cold: f64,
-}
-
-/// The full BENCH_7 report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bench7Report {
-    pub nodes: usize,
-    pub ppn: usize,
-    pub ranks: usize,
-    /// Service pool workers used for both modes.
-    pub workers: usize,
-    /// Tenants the job stream round-robins across.
-    pub tenants: u32,
-    /// Total jobs executed across the sweep.
-    pub total_jobs: u64,
-    pub cells: Vec<Bench7Cell>,
-}
-
-impl Bench7Report {
-    /// Aligned ASCII rendering.
-    pub fn table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# BENCH_7: service throughput ({} nodes x {} ppn = {} ranks, {} workers, {} tenants, {} jobs)",
-            self.nodes, self.ppn, self.ranks, self.workers, self.tenants, self.total_jobs
-        );
-        let _ = writeln!(
-            out,
-            "{:<28} {:>6} {:>7} {:>13} {:>13} {:>9}",
-            "algorithm", "bytes", "jobs", "cold job/s", "warm job/s", "warm/cold"
-        );
-        for c in &self.cells {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>6} {:>7} {:>13.0} {:>13.0} {:>8.1}x",
-                truncate(&c.algo, 28),
-                c.bytes,
-                c.jobs,
-                c.cold_jobs_per_sec,
-                c.warm_jobs_per_sec,
-                c.warm_over_cold
-            );
-        }
-        let _ = writeln!(
-            out,
-            "geomean warm/cold: {:.1}x (floor {:.0}x)",
-            self.geomean_warm_over_cold(),
-            WARM_COLD_FLOOR
-        );
-        out
-    }
-
-    /// Geometric-mean warm/cold ratio across all cells (0.0 if empty).
-    pub fn geomean_warm_over_cold(&self) -> f64 {
-        if self.cells.is_empty() {
-            return 0.0;
-        }
-        let log_sum: f64 = self.cells.iter().map(|c| c.warm_over_cold.ln()).sum();
-        (log_sum / self.cells.len() as f64).exp()
-    }
-
-    /// Whether the sweep clears the baseline-independent acceptance floor.
-    pub fn meets_floor(&self) -> bool {
-        self.geomean_warm_over_cold() >= WARM_COLD_FLOOR
-    }
-
-    /// Gate against `baseline` on the cold-normalized rate (the
-    /// `warm_over_cold` column — both modes run on the same host in the
-    /// same process, so the ratio is portable while absolute jobs/sec are
-    /// not): the sweep geomean must retain [`BENCH7_REGRESSION_FLOOR`] of
-    /// the baseline's. Unlike BENCH_4/BENCH_6, single cells are NOT gated:
-    /// cold cells are bounded by thread-scope parking, which scheduling
-    /// noise swings by integer factors on a busy host, while the
-    /// 16-cell log-average is stable to a few percent. Returns the
-    /// offending `(scope, bytes, ratio)` rows; the geomean row uses
-    /// scope `"geomean"` and bytes 0.
-    pub fn regressions_against(&self, baseline: &Bench7Report) -> Vec<(String, u64, f64)> {
-        let mut bad = Vec::new();
-        let base_geo = baseline.geomean_warm_over_cold();
-        if base_geo > 0.0 {
-            let ratio = self.geomean_warm_over_cold() / base_geo;
-            if ratio < BENCH7_REGRESSION_FLOOR {
-                bad.push(("geomean".to_string(), 0, ratio));
-            }
-        }
-        bad
-    }
-}
-
-fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
-        s.to_string()
-    } else {
-        format!("..{}", &s[s.len() - (n - 2)..])
-    }
-}
 
 /// Submit a burst of `burst` jobs (tenants round-robined), wait for all,
 /// and return the elapsed wall clock. Any job failure panics: throughput
@@ -240,7 +113,7 @@ pub fn bench7_cell(
     bytes: u64,
     workers: usize,
     tenants: u32,
-) -> Bench7Cell {
+) -> Cell {
     let n = grid.world_size();
     let warm = Service::new(ServiceConfig {
         workers,
@@ -280,18 +153,20 @@ pub fn bench7_cell(
     let (cold_rate, cold_jobs) = sustained(&cold, algo, grid, bytes, spinup, tenants);
     let (warm_rate, warm_jobs) = sustained(&warm, algo, grid, bytes, Engine::Data, tenants);
 
-    Bench7Cell {
-        algo: algo.name(),
+    Cell::new(
+        algo.name(),
         bytes,
-        jobs: 1 + cold_jobs + warm_jobs,
-        cold_jobs_per_sec: cold_rate,
-        warm_jobs_per_sec: warm_rate,
-        warm_over_cold: warm_rate / cold_rate,
-    }
+        [
+            ("jobs", (1 + cold_jobs + warm_jobs) as f64),
+            ("cold_jobs_per_sec", cold_rate),
+            ("warm_jobs_per_sec", warm_rate),
+            ("warm_over_cold", warm_rate / cold_rate),
+        ],
+    )
 }
 
 /// The full sweep: eight algorithms x [`BENCH7_SIZES`].
-pub fn bench7(nodes: usize, workers: usize, tenants: u32) -> Bench7Report {
+pub fn bench7(nodes: usize, workers: usize, tenants: u32) -> Report {
     let grid = bench4_grid(nodes);
     let tenants = tenants.max(1);
     let mut cells = Vec::new();
@@ -300,13 +175,18 @@ pub fn bench7(nodes: usize, workers: usize, tenants: u32) -> Bench7Report {
             cells.push(bench7_cell(algo.as_ref(), &grid, bytes, workers, tenants));
         }
     }
-    Bench7Report {
-        nodes,
-        ppn: grid.machine().ppn(),
-        ranks: grid.world_size(),
-        workers,
-        tenants,
-        total_jobs: cells.iter().map(|c| c.jobs).sum(),
+    let total_jobs: f64 = cells.iter().map(|c| c.metrics.get("jobs")).sum();
+    Report {
+        bench: BENCH7.bench.into(),
+        machine: grid.machine().name.clone(),
+        header: Named::from([
+            ("nodes", nodes as f64),
+            ("ppn", grid.machine().ppn() as f64),
+            ("ranks", grid.world_size() as f64),
+            ("workers", workers as f64),
+            ("tenants", tenants as f64),
+            ("total_jobs", total_jobs),
+        ]),
         cells,
     }
 }
@@ -380,46 +260,9 @@ mod tests {
         let grid = bench4_grid(1);
         let cell = bench7_cell(&PairwiseAlltoall, &grid, 16, 2, 2);
         assert_eq!(cell.bytes, 16);
-        assert!(cell.jobs > 8);
-        assert!(cell.cold_jobs_per_sec > 0.0);
-        assert!(cell.warm_jobs_per_sec > 0.0);
-        assert!(cell.warm_over_cold > 0.0);
-    }
-
-    #[test]
-    fn regression_gate_flags_slowdowns() {
-        let good = Bench7Cell {
-            algo: "a".into(),
-            bytes: 64,
-            jobs: 100,
-            cold_jobs_per_sec: 100.0,
-            warm_jobs_per_sec: 1000.0,
-            warm_over_cold: 10.0,
-        };
-        let report = |cell: &Bench7Cell| Bench7Report {
-            nodes: 1,
-            ppn: 4,
-            ranks: 4,
-            workers: 2,
-            tenants: 2,
-            total_jobs: cell.jobs,
-            cells: vec![cell.clone()],
-        };
-        assert!(report(&good).meets_floor());
-        assert!(report(&good).regressions_against(&report(&good)).is_empty());
-        // 0.7x of baseline: within bench7's noise headroom (floor 0.5),
-        // so the baseline gate stays quiet...
-        let mut slow = good.clone();
-        slow.warm_over_cold = 7.0;
-        assert!(report(&slow).regressions_against(&report(&good)).is_empty());
-        // ...but 0.4x of baseline trips it, and 4x warm/cold also fails
-        // the hard 5x floor independently of any baseline.
-        let mut collapsed = good.clone();
-        collapsed.warm_over_cold = 4.0;
-        assert!(!report(&collapsed).meets_floor());
-        let bad = report(&collapsed).regressions_against(&report(&good));
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].0, "geomean");
+        assert_eq!(cell.metrics.names(), BENCH7.metrics);
+        assert!(cell.metrics.get("jobs") > 8.0);
+        assert!(cell.metrics.0.iter().all(|&(_, v)| v > 0.0), "{cell:?}");
     }
 
     #[test]
@@ -431,25 +274,5 @@ mod tests {
         // 8 algorithms x 2 sizes reached within 40 jobs: 16 distinct keys.
         assert_eq!(stats.cache.compiled, 16);
         assert_eq!(stats.cache.hits, 40 - 16);
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let grid = bench4_grid(1);
-        let report = Bench7Report {
-            nodes: 1,
-            ppn: grid.machine().ppn(),
-            ranks: grid.world_size(),
-            workers: 2,
-            tenants: 2,
-            total_jobs: 0,
-            cells: vec![bench7_cell(&PairwiseAlltoall, &grid, 4, 2, 2)],
-        };
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: Bench7Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.cells.len(), 1);
-        assert_eq!(back.cells[0].algo, report.cells[0].algo);
-        assert!(report.table().contains("BENCH_7"));
-        assert!(report.geomean_warm_over_cold() > 0.0);
     }
 }

@@ -14,25 +14,20 @@
 //! answer, and the causality-violation counter must read zero. The report
 //! (`BENCH_6.json`) carries both rates plus the speedup per cell and can
 //! be gated against a checked-in baseline (`repro bench6 --baseline`)
-//! exactly like BENCH_4: the gate compares *speedup* (parallel over
-//! sequential on the same host, in the same process), which is portable
-//! across runner hardware, against [`REGRESSION_FLOOR`] on the sweep
-//! geomean and [`CELL_FLOOR`] per cell. On a single-core runner the
-//! speedups sit near (or below) 1.0 — the gate still catches the sharded
-//! engine regressing relative to the recorded baseline ratio.
+//! exactly like BENCH_4, by [`crate::ledger::BENCH6`]: the gate compares
+//! *speedup* (parallel over sequential on the same host, in the same
+//! process), which is portable across runner hardware.
 
 use std::time::{Duration, Instant};
 
+use crate::harness::RunConfig;
+use crate::ledger::{Cell, Named, Report, BENCH6};
 use a2a_core::{
     A2AContext, AlgoSchedule, AlltoallAlgorithm, BruckAlltoall, ExchangeKind, HierarchicalAlltoall,
     MpichShmAlltoall, MultileaderNodeAwareAlltoall, NodeAwareAlltoall, NonblockingAlltoall,
     PairwiseAlltoall,
 };
 use a2a_netsim::{simulate, simulate_sharded_stats, Perturb, ShardOptions, SimOptions};
-use serde::{Deserialize, Serialize};
-
-use crate::harness::RunConfig;
-use crate::throughput::{CELL_FLOOR, REGRESSION_FLOOR};
 
 /// Block sizes timed per algorithm: one eager-dominated, one
 /// rendezvous-dominated at the default inter-node threshold.
@@ -57,115 +52,6 @@ pub fn bench6_roster(ppn: usize) -> Vec<Box<dyn AlltoallAlgorithm>> {
     ]
 }
 
-/// One `(algorithm, block size)` measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bench6Cell {
-    pub algo: String,
-    /// Per-process block bytes.
-    pub bytes: u64,
-    /// Events one simulation processes (identical for both engines).
-    pub events_per_run: u64,
-    /// Events crossing a shard boundary in the parallel run.
-    pub cross_events: u64,
-    /// Sequential engine rate.
-    pub seq_events_per_sec: f64,
-    /// Sharded engine rate at the report's worker count.
-    pub par_events_per_sec: f64,
-    /// `par_events_per_sec / seq_events_per_sec`.
-    pub speedup: f64,
-}
-
-/// The full BENCH_6 report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bench6Report {
-    pub machine: String,
-    pub nodes: usize,
-    pub ppn: usize,
-    pub ranks: usize,
-    /// Worker threads the parallel runs used.
-    pub workers: usize,
-    /// Shards the node range was partitioned into.
-    pub shards: usize,
-    pub cells: Vec<Bench6Cell>,
-}
-
-impl Bench6Report {
-    /// Aligned ASCII rendering.
-    pub fn table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# BENCH_6: simulator throughput ({} nodes x {} ppn = {} ranks, {} workers / {} shards)",
-            self.nodes, self.ppn, self.ranks, self.workers, self.shards
-        );
-        let _ = writeln!(
-            out,
-            "{:<28} {:>6} {:>10} {:>14} {:>14} {:>8}",
-            "algorithm", "bytes", "events", "seq ev/s", "par ev/s", "speedup"
-        );
-        for c in &self.cells {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>6} {:>10} {:>14.0} {:>14.0} {:>7.2}x",
-                truncate(&c.algo, 28),
-                c.bytes,
-                c.events_per_run,
-                c.seq_events_per_sec,
-                c.par_events_per_sec,
-                c.speedup
-            );
-        }
-        out
-    }
-
-    /// Geometric-mean speedup across all cells (0.0 if empty).
-    pub fn geomean_speedup(&self) -> f64 {
-        if self.cells.is_empty() {
-            return 0.0;
-        }
-        let log_sum: f64 = self.cells.iter().map(|c| c.speedup.ln()).sum();
-        (log_sum / self.cells.len() as f64).exp()
-    }
-
-    /// Gate against `baseline` on sequential-normalized events/sec (the
-    /// `speedup` column), mirroring BENCH_4: the sweep geomean must retain
-    /// [`REGRESSION_FLOOR`] of the baseline's and every cell present in
-    /// both reports must retain [`CELL_FLOOR`] of its baseline cell's.
-    /// Returns the offending `(scope, bytes, ratio)` rows.
-    pub fn regressions_against(&self, baseline: &Bench6Report) -> Vec<(String, u64, f64)> {
-        let mut bad = Vec::new();
-        let base_geo = baseline.geomean_speedup();
-        if base_geo > 0.0 {
-            let ratio = self.geomean_speedup() / base_geo;
-            if ratio < REGRESSION_FLOOR {
-                bad.push(("geomean".to_string(), 0, ratio));
-            }
-        }
-        for b in &baseline.cells {
-            if let Some(c) = self
-                .cells
-                .iter()
-                .find(|c| c.algo == b.algo && c.bytes == b.bytes)
-            {
-                let ratio = c.speedup / b.speedup;
-                if ratio < CELL_FLOOR {
-                    bad.push((c.algo.clone(), c.bytes, ratio));
-                }
-            }
-        }
-        bad
-    }
-}
-
-fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
-        s.to_string()
-    } else {
-        format!("..{}", &s[s.len() - (n - 2)..])
-    }
-}
-
 fn best_of<T>(reps: usize, mut run: impl FnMut() -> T) -> (Duration, T) {
     let mut best: Option<(Duration, T)> = None;
     for _ in 0..reps {
@@ -186,7 +72,7 @@ pub fn bench6_cell(
     cfg: &RunConfig,
     bytes: u64,
     workers: usize,
-) -> (Bench6Cell, usize) {
+) -> (Cell, usize) {
     let grid = cfg.grid();
     let model = cfg.model();
     let sched = AlgoSchedule::new(algo, A2AContext::new(grid.clone(), bytes));
@@ -220,21 +106,32 @@ pub fn bench6_cell(
     );
 
     let events = stats.events as f64;
-    let cell = Bench6Cell {
-        algo: algo.name(),
+    let cell = Cell::new(
+        algo.name(),
         bytes,
-        events_per_run: stats.events,
-        cross_events: stats.cross_events,
-        seq_events_per_sec: events / seq_dt.as_secs_f64().max(1e-9),
-        par_events_per_sec: events / par_dt.as_secs_f64().max(1e-9),
-        speedup: seq_dt.as_secs_f64() / par_dt.as_secs_f64().max(1e-9),
-    };
+        [
+            ("events_per_run", events),
+            ("cross_events", stats.cross_events as f64),
+            (
+                "seq_events_per_sec",
+                events / seq_dt.as_secs_f64().max(1e-9),
+            ),
+            (
+                "par_events_per_sec",
+                events / par_dt.as_secs_f64().max(1e-9),
+            ),
+            (
+                "speedup",
+                seq_dt.as_secs_f64() / par_dt.as_secs_f64().max(1e-9),
+            ),
+        ],
+    );
     (cell, stats.shards)
 }
 
 /// The full sweep: eight algorithms x [`BENCH6_SIZES`] on `cfg`'s machine,
 /// parallel runs at `cfg.resolved_workers()` workers.
-pub fn bench6(cfg: &RunConfig) -> Bench6Report {
+pub fn bench6(cfg: &RunConfig) -> Report {
     let grid = cfg.grid();
     let workers = cfg.resolved_workers();
     let mut cells = Vec::new();
@@ -246,13 +143,16 @@ pub fn bench6(cfg: &RunConfig) -> Bench6Report {
             shards = sh;
         }
     }
-    Bench6Report {
+    Report {
+        bench: BENCH6.bench.into(),
         machine: cfg.machine.clone(),
-        nodes: cfg.nodes,
-        ppn: grid.machine().ppn(),
-        ranks: grid.world_size(),
-        workers,
-        shards,
+        header: Named::from([
+            ("nodes", cfg.nodes as f64),
+            ("ppn", grid.machine().ppn() as f64),
+            ("ranks", grid.world_size() as f64),
+            ("workers", workers as f64),
+            ("shards", shards as f64),
+        ]),
         cells,
     }
 }
@@ -274,64 +174,9 @@ mod tests {
     fn bench6_cell_measures_and_verifies() {
         let (cell, shards) = bench6_cell(&PairwiseAlltoall, &tiny(), 256, 2);
         assert_eq!(cell.bytes, 256);
-        assert!(cell.events_per_run > 0);
-        assert!(cell.cross_events > 0);
-        assert!(cell.seq_events_per_sec > 0.0);
-        assert!(cell.par_events_per_sec > 0.0);
-        assert!(cell.speedup > 0.0);
+        assert_eq!(cell.metrics.names(), BENCH6.metrics);
+        // Two shards: cross-shard events too are > 0.
+        assert!(cell.metrics.0.iter().all(|&(_, v)| v > 0.0), "{cell:?}");
         assert_eq!(shards, 2);
-    }
-
-    #[test]
-    fn regression_gate_flags_slowdowns() {
-        let cell = Bench6Cell {
-            algo: "a".into(),
-            bytes: 256,
-            events_per_run: 1000,
-            cross_events: 100,
-            seq_events_per_sec: 1e6,
-            par_events_per_sec: 2e6,
-            speedup: 2.0,
-        };
-        let report = |c: &Bench6Cell| Bench6Report {
-            machine: "dane".into(),
-            nodes: 2,
-            ppn: 32,
-            ranks: 64,
-            workers: 2,
-            shards: 2,
-            cells: vec![c.clone()],
-        };
-        assert!(report(&cell).regressions_against(&report(&cell)).is_empty());
-        let mut slow = cell.clone();
-        slow.speedup = 1.4; // 0.7x of baseline: geomean floor only
-        let bad = report(&slow).regressions_against(&report(&cell));
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].0, "geomean");
-        let mut collapsed = cell.clone();
-        collapsed.speedup = 0.8; // 0.4x: both floors
-        let bad = report(&collapsed).regressions_against(&report(&cell));
-        assert_eq!(bad.len(), 2);
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let cfg = tiny();
-        let (cell, shards) = bench6_cell(&BruckAlltoall, &cfg, 256, 2);
-        let report = Bench6Report {
-            machine: cfg.machine.clone(),
-            nodes: cfg.nodes,
-            ppn: 32,
-            ranks: 64,
-            workers: 2,
-            shards,
-            cells: vec![cell],
-        };
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: Bench6Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.cells.len(), 1);
-        assert_eq!(back.cells[0].algo, report.cells[0].algo);
-        assert!(report.table().contains("BENCH_6"));
-        assert!(report.geomean_speedup() > 0.0);
     }
 }

@@ -9,8 +9,8 @@
 //! * **healthy** — clean serialized round-trips on the sequential engine;
 //!   the control group whose latency distribution shows what the storm
 //!   costs bystanders.
-//! * **flaky** — the [`StormProfile::flaky`] ramp (drops 5% → 15% → 30%
-//!   + corruption, then stragglers), alternating between the parallel
+//! * **flaky** — the [`StormProfile::flaky`] ramp (drops 5% → 15% → 30%,
+//!   plus corruption, then stragglers), alternating between the parallel
 //!   engine (whose retransmit layer absorbs per-packet faults) and the
 //!   sequential engine (no retransmit, so drops surface as transient
 //!   job failures and exercise the service-level retry path).
@@ -36,9 +36,9 @@
 //! [`bench8`] measures goodput under overload: an uncontended warm
 //! service sets the reference rate, then a service with a deliberately
 //! tiny admission queue takes a burst far larger than its capacity under
-//! each [`OverloadPolicy`]. The acceptance floor [`OVERLOAD_FLOOR`]:
-//! whatever the policy does with the excess (block, reject, shed), the
-//! jobs it *does* complete must flow at no worse than half the
+//! each [`OverloadPolicy`]. The acceptance floor, [`crate::ledger::BENCH8`]'s
+//! hard floor: whatever the policy does with the excess (block, reject,
+//! shed), the jobs it *does* complete must flow at no worse than half the
 //! uncontended rate — overload control may refuse work, it must not
 //! collapse throughput.
 
@@ -51,20 +51,11 @@ use a2a_service::{
 };
 use serde::{Deserialize, Serialize};
 
+use crate::ledger::{Cell, Named, Report, BENCH8};
 use crate::throughput::bench4_grid;
 
-/// BENCH_8 acceptance floor: under 2x+ queue overload, the geomean
-/// goodput across the overload policies must stay within this fraction
-/// of the uncontended warm rate. Geomean, not min: the Reject/ShedOldest
-/// cells complete only a queue's worth of jobs per burst, so their
-/// individual ratios swing ±0.15 with scheduling noise while the
-/// three-policy geomean is stable.
-pub const OVERLOAD_FLOOR: f64 = 0.5;
-
-/// Baseline gate for BENCH_8, mirroring BENCH_7's: the geomean
-/// warm-normalized goodput may fall to at most this fraction of the
-/// checked-in baseline's.
-pub const BENCH8_REGRESSION_FLOOR: f64 = 0.5;
+/// Block bytes of every BENCH_8 job.
+const BENCH8_BYTES: u64 = 64;
 
 const STORM_TENANT_HEALTHY: u32 = 0;
 const STORM_TENANT_FLAKY: u32 = 1;
@@ -424,112 +415,6 @@ pub fn storm(seed: u64, workers: usize) -> (String, StormReport) {
     (out, report)
 }
 
-/// One overload policy's goodput measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bench8Cell {
-    pub policy: String,
-    /// Jobs offered to the overloaded service.
-    pub offered: u64,
-    /// Jobs that completed successfully.
-    pub completed: u64,
-    /// Jobs refused (rejected or shed) by overload control.
-    pub refused: u64,
-    /// Completed jobs per second of wall clock.
-    pub goodput_jobs_per_sec: f64,
-    /// `goodput / warm_jobs_per_sec`.
-    pub goodput_over_warm: f64,
-}
-
-/// The BENCH_8 report: uncontended warm rate vs goodput under overload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bench8Report {
-    pub nodes: usize,
-    pub ppn: usize,
-    pub ranks: usize,
-    pub workers: usize,
-    pub tenants: u32,
-    /// Admission-queue capacity of the overloaded services.
-    pub queue_capacity: usize,
-    /// Reference rate: default (uncontended) service on the same host.
-    pub warm_jobs_per_sec: f64,
-    pub cells: Vec<Bench8Cell>,
-}
-
-impl Bench8Report {
-    pub fn table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# BENCH_8: goodput under overload ({} ranks, {} workers, queue {}, warm {:.0} jobs/s)",
-            self.ranks, self.workers, self.queue_capacity, self.warm_jobs_per_sec
-        );
-        let _ = writeln!(
-            out,
-            "{:<10} {:>8} {:>10} {:>8} {:>13} {:>10}",
-            "policy", "offered", "completed", "refused", "goodput j/s", "vs warm"
-        );
-        for c in &self.cells {
-            let _ = writeln!(
-                out,
-                "{:<10} {:>8} {:>10} {:>8} {:>13.0} {:>9.2}x",
-                c.policy,
-                c.offered,
-                c.completed,
-                c.refused,
-                c.goodput_jobs_per_sec,
-                c.goodput_over_warm
-            );
-        }
-        let _ = writeln!(
-            out,
-            "geomean goodput/warm: {:.2}x (floor {:.1}x), min {:.2}x",
-            self.geomean_goodput_over_warm(),
-            OVERLOAD_FLOOR,
-            self.min_goodput_over_warm()
-        );
-        out
-    }
-
-    /// The worst policy's warm-normalized goodput (0.0 if empty).
-    pub fn min_goodput_over_warm(&self) -> f64 {
-        self.cells
-            .iter()
-            .map(|c| c.goodput_over_warm)
-            .fold(f64::NAN, f64::min)
-            .max(0.0)
-    }
-
-    /// Whether the policy sweep clears the baseline-independent floor.
-    pub fn meets_floor(&self) -> bool {
-        self.geomean_goodput_over_warm() >= OVERLOAD_FLOOR
-    }
-
-    /// Geomean warm-normalized goodput across policies.
-    pub fn geomean_goodput_over_warm(&self) -> f64 {
-        if self.cells.is_empty() {
-            return 0.0;
-        }
-        let log_sum: f64 = self.cells.iter().map(|c| c.goodput_over_warm.ln()).sum();
-        (log_sum / self.cells.len() as f64).exp()
-    }
-
-    /// Baseline gate, geomean-only like BENCH_7's (absolute jobs/sec are
-    /// host-bound; the warm-normalized ratio is portable). Returns the
-    /// offending `(scope, ratio)` rows.
-    pub fn regressions_against(&self, baseline: &Bench8Report) -> Vec<(String, f64)> {
-        let mut bad = Vec::new();
-        let base = baseline.geomean_goodput_over_warm();
-        if base > 0.0 {
-            let ratio = self.geomean_goodput_over_warm() / base;
-            if ratio < BENCH8_REGRESSION_FLOOR {
-                bad.push(("geomean".to_string(), ratio));
-            }
-        }
-        bad
-    }
-}
-
 /// Submit `burst` jobs as fast as possible and wait for all handles.
 /// Returns `(completed, refused, elapsed)`; any error that is not an
 /// overload refusal panics — goodput of broken jobs is meaningless.
@@ -545,7 +430,7 @@ fn overload_burst(
             svc.submit(
                 &PairwiseAlltoall,
                 grid,
-                JobSpec::new(i as u32 % tenants, 64),
+                JobSpec::new(i as u32 % tenants, BENCH8_BYTES),
             )
         })
         .collect();
@@ -563,7 +448,7 @@ fn overload_burst(
 
 /// Measure goodput under every overload policy against the uncontended
 /// warm rate on the same host and CPU budget.
-pub fn bench8(nodes: usize, workers: usize, tenants: u32) -> Bench8Report {
+pub fn bench8(nodes: usize, workers: usize, tenants: u32) -> Report {
     let grid = bench4_grid(nodes);
     let tenants = tenants.max(1);
     let workers = workers.max(1);
@@ -607,25 +492,32 @@ pub fn bench8(nodes: usize, workers: usize, tenants: u32) -> Bench8Report {
             refused += refd;
             best = best.max(done as f64 / t.as_secs_f64());
         }
-        Bench8Cell {
-            policy: format!("{policy:?}"),
-            offered: 3 * burst,
-            completed,
-            refused,
-            goodput_jobs_per_sec: best,
-            goodput_over_warm: best / warm_rate,
-        }
+        Cell::new(
+            format!("{policy:?}"),
+            BENCH8_BYTES,
+            [
+                ("offered", (3 * burst) as f64),
+                ("completed", completed as f64),
+                ("refused", refused as f64),
+                ("goodput_jobs_per_sec", best),
+                ("goodput_over_warm", best / warm_rate),
+            ],
+        )
     })
     .collect();
 
-    Bench8Report {
-        nodes,
-        ppn: grid.machine().ppn(),
-        ranks: grid.world_size(),
-        workers,
-        tenants,
-        queue_capacity: QUEUE,
-        warm_jobs_per_sec: warm_rate,
+    Report {
+        bench: BENCH8.bench.into(),
+        machine: grid.machine().name.clone(),
+        header: Named::from([
+            ("nodes", nodes as f64),
+            ("ppn", grid.machine().ppn() as f64),
+            ("ranks", grid.world_size() as f64),
+            ("workers", workers as f64),
+            ("tenants", tenants as f64),
+            ("queue_capacity", QUEUE as f64),
+            ("warm_jobs_per_sec", warm_rate),
+        ]),
         cells,
     }
 }
@@ -669,20 +561,23 @@ mod tests {
     #[test]
     fn bench8_exercises_overload_and_meets_the_floor() {
         let report = bench8(1, 2, 3);
-        assert_eq!(report.cells.len(), 3);
-        let reject = report.cells.iter().find(|c| c.policy == "Reject").unwrap();
-        assert!(reject.refused > 0, "burst must overflow the tiny queue");
-        let block = report.cells.iter().find(|c| c.policy == "Block").unwrap();
-        assert_eq!(block.refused, 0, "blocking backpressure refuses nothing");
+        let refused = |policy: &str| {
+            let cell = report.cells.iter().find(|c| c.case == policy).unwrap();
+            cell.metrics.get("refused")
+        };
         assert!(
-            report.meets_floor(),
-            "goodput under overload below {OVERLOAD_FLOOR}x warm:\n{}",
-            report.table()
+            refused("Reject") > 0.0,
+            "burst must overflow the tiny queue"
         );
-        // Round-trip like the other BENCH_N reports.
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: Bench8Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.cells.len(), 3);
-        assert!(back.regressions_against(&report).is_empty());
+        assert_eq!(
+            refused("Block"),
+            0.0,
+            "blocking backpressure refuses nothing"
+        );
+        let table = BENCH8.table(&report);
+        let bad = BENCH8.check(&report, &[("nodes", 1), ("workers", 2)]);
+        assert!(bad.is_empty(), "{bad:?}\n{table}");
+        let bad = BENCH8.gate(&report, Some(&report));
+        assert!(bad.is_empty(), "{bad:?}\n{table}");
     }
 }

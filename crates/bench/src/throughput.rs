@@ -18,12 +18,15 @@
 //! The first fast iteration of every cell verifies the transpose, so a
 //! throughput number can never come from a wrong answer. The report
 //! (`BENCH_4.json`) carries both rates plus the speedup per cell, and can
-//! be gated against a checked-in baseline (`repro bench4 --baseline`):
-//! the run fails if any cell's fast messages/sec regresses below
-//! [`REGRESSION_FLOOR`] of the baseline's.
+//! be gated against a checked-in baseline (`repro bench4 --baseline`) by
+//! [`crate::ledger::BENCH4`]: the legacy-normalized ratio (the `speedup`
+//! metric) must keep 0.8 of the baseline's sweep geomean and 0.5 of each
+//! baseline cell's.
 
 use std::time::{Duration, Instant};
 
+use crate::harness::DEFAULT_SIZES;
+use crate::ledger::{Cell, Named, Report, BENCH4};
 use a2a_core::{
     A2AContext, AlgoSchedule, AlltoallAlgorithm, BruckAlltoall, ExchangeKind, HierarchicalAlltoall,
     MpichShmAlltoall, MultileaderNodeAwareAlltoall, NodeAwareAlltoall, NonblockingAlltoall,
@@ -34,24 +37,6 @@ use a2a_sched::{
     PreparedSchedule,
 };
 use a2a_topo::{Machine, ProcGrid};
-use serde::{Deserialize, Serialize};
-
-use crate::harness::DEFAULT_SIZES;
-
-/// The sweep's geometric-mean messages/sec may fall to at most this
-/// fraction of the baseline's before the gate fails (i.e. a >20%
-/// regression fails). The gate compares legacy-normalized rates (the
-/// `speedup` column): both paths run on the same host in the same
-/// process, so the ratio is portable across runner hardware while
-/// absolute messages/sec are not. The geomean over the full sweep is
-/// stable to a few percent; individual cells are not (scheduling noise
-/// swings them ±25% on a busy host), so single cells get the looser
-/// [`CELL_FLOOR`].
-pub const REGRESSION_FLOOR: f64 = 0.8;
-
-/// Catastrophic per-cell floor: one algorithm path collapsing shows up
-/// here even when the sweep geomean hides it.
-pub const CELL_FLOOR: f64 = 0.5;
 
 /// Wall-clock budget per timed loop; iteration counts adapt to it.
 const TARGET: Duration = Duration::from_millis(150);
@@ -77,111 +62,6 @@ pub fn bench4_grid(nodes: usize) -> ProcGrid {
     ProcGrid::new(Machine::custom("bench", nodes, 2, 1, 2))
 }
 
-/// One `(algorithm, block size)` measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bench4Cell {
-    pub algo: String,
-    /// Per-process block bytes.
-    pub bytes: u64,
-    /// Messages delivered by one execution of the schedule.
-    pub messages_per_run: usize,
-    /// Fast path (prepared + scratch reuse).
-    pub fast_msgs_per_sec: f64,
-    pub fast_bytes_per_sec: f64,
-    /// Legacy executor (pre-PR allocation behaviour).
-    pub legacy_msgs_per_sec: f64,
-    pub legacy_bytes_per_sec: f64,
-    /// `fast_msgs_per_sec / legacy_msgs_per_sec`.
-    pub speedup: f64,
-}
-
-/// The full BENCH_4 report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bench4Report {
-    pub nodes: usize,
-    pub ppn: usize,
-    pub ranks: usize,
-    pub cells: Vec<Bench4Cell>,
-}
-
-impl Bench4Report {
-    /// Aligned ASCII rendering.
-    pub fn table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# BENCH_4: data-executor throughput ({} nodes x {} ppn = {} ranks)",
-            self.nodes, self.ppn, self.ranks
-        );
-        let _ = writeln!(
-            out,
-            "{:<28} {:>6} {:>8} {:>14} {:>14} {:>8}",
-            "algorithm", "bytes", "msgs", "fast msg/s", "legacy msg/s", "speedup"
-        );
-        for c in &self.cells {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>6} {:>8} {:>14.0} {:>14.0} {:>7.2}x",
-                truncate(&c.algo, 28),
-                c.bytes,
-                c.messages_per_run,
-                c.fast_msgs_per_sec,
-                c.legacy_msgs_per_sec,
-                c.speedup
-            );
-        }
-        out
-    }
-
-    /// Geometric-mean speedup across all cells (0.0 if empty).
-    pub fn geomean_speedup(&self) -> f64 {
-        if self.cells.is_empty() {
-            return 0.0;
-        }
-        let log_sum: f64 = self.cells.iter().map(|c| c.speedup.ln()).sum();
-        (log_sum / self.cells.len() as f64).exp()
-    }
-
-    /// Gate against `baseline` on legacy-normalized messages/sec (the
-    /// `speedup` column): the sweep geomean must retain
-    /// [`REGRESSION_FLOOR`] of the baseline's, and every cell present in
-    /// both reports must retain [`CELL_FLOOR`] of its baseline cell's.
-    /// Returns the offending `(scope, bytes, ratio)` rows; the geomean
-    /// row uses scope `"geomean"` and bytes 0.
-    pub fn regressions_against(&self, baseline: &Bench4Report) -> Vec<(String, u64, f64)> {
-        let mut bad = Vec::new();
-        let base_geo = baseline.geomean_speedup();
-        if base_geo > 0.0 {
-            let ratio = self.geomean_speedup() / base_geo;
-            if ratio < REGRESSION_FLOOR {
-                bad.push(("geomean".to_string(), 0, ratio));
-            }
-        }
-        for b in &baseline.cells {
-            if let Some(c) = self
-                .cells
-                .iter()
-                .find(|c| c.algo == b.algo && c.bytes == b.bytes)
-            {
-                let ratio = c.speedup / b.speedup;
-                if ratio < CELL_FLOOR {
-                    bad.push((c.algo.clone(), c.bytes, ratio));
-                }
-            }
-        }
-        bad
-    }
-}
-
-fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
-        s.to_string()
-    } else {
-        format!("..{}", &s[s.len() - (n - 2)..])
-    }
-}
-
 /// Time `run` adaptively: one warmup, one probe to size the iteration
 /// count so three timed loops together fit [`TARGET`], then best-of-3
 /// timed loops. Scheduling noise only ever *lowers* a loop's rate, so
@@ -204,7 +84,7 @@ fn time_adaptive(mut run: impl FnMut()) -> f64 {
 }
 
 /// Measure one algorithm at one block size on `grid`.
-pub fn bench4_cell(algo: &dyn AlltoallAlgorithm, grid: &ProcGrid, bytes: u64) -> Bench4Cell {
+pub fn bench4_cell(algo: &dyn AlltoallAlgorithm, grid: &ProcGrid, bytes: u64) -> Cell {
     let n = grid.world_size();
     let sched = AlgoSchedule::new(algo, A2AContext::new(grid.clone(), bytes));
     let prep = PreparedSchedule::new(&sched);
@@ -237,20 +117,22 @@ pub fn bench4_cell(algo: &dyn AlltoallAlgorithm, grid: &ProcGrid, bytes: u64) ->
 
     let msgs = stats.messages as f64;
     let payload = stats.message_bytes as f64;
-    Bench4Cell {
-        algo: algo.name(),
+    Cell::new(
+        algo.name(),
         bytes,
-        messages_per_run: stats.messages,
-        fast_msgs_per_sec: msgs * runs_per_sec_fast,
-        fast_bytes_per_sec: payload * runs_per_sec_fast,
-        legacy_msgs_per_sec: msgs * runs_per_sec_legacy,
-        legacy_bytes_per_sec: payload * runs_per_sec_legacy,
-        speedup: runs_per_sec_fast / runs_per_sec_legacy,
-    }
+        [
+            ("messages_per_run", msgs),
+            ("fast_msgs_per_sec", msgs * runs_per_sec_fast),
+            ("fast_bytes_per_sec", payload * runs_per_sec_fast),
+            ("legacy_msgs_per_sec", msgs * runs_per_sec_legacy),
+            ("legacy_bytes_per_sec", payload * runs_per_sec_legacy),
+            ("speedup", runs_per_sec_fast / runs_per_sec_legacy),
+        ],
+    )
 }
 
 /// The full sweep: eight algorithms x paper block sizes.
-pub fn bench4(nodes: usize) -> Bench4Report {
+pub fn bench4(nodes: usize) -> Report {
     let grid = bench4_grid(nodes);
     let mut cells = Vec::new();
     for algo in bench4_roster() {
@@ -258,10 +140,14 @@ pub fn bench4(nodes: usize) -> Bench4Report {
             cells.push(bench4_cell(algo.as_ref(), &grid, bytes));
         }
     }
-    Bench4Report {
-        nodes,
-        ppn: grid.machine().ppn(),
-        ranks: grid.world_size(),
+    Report {
+        bench: BENCH4.bench.into(),
+        machine: grid.machine().name.clone(),
+        header: Named::from([
+            ("nodes", nodes as f64),
+            ("ppn", grid.machine().ppn() as f64),
+            ("ranks", grid.world_size() as f64),
+        ]),
         cells,
     }
 }
@@ -275,67 +161,7 @@ mod tests {
         let grid = bench4_grid(1);
         let cell = bench4_cell(&PairwiseAlltoall, &grid, 16);
         assert_eq!(cell.bytes, 16);
-        assert!(cell.messages_per_run > 0);
-        assert!(cell.fast_msgs_per_sec > 0.0);
-        assert!(cell.legacy_msgs_per_sec > 0.0);
-        assert!(cell.speedup > 0.0);
-    }
-
-    #[test]
-    fn regression_gate_flags_slowdowns() {
-        let fast = Bench4Cell {
-            algo: "a".into(),
-            bytes: 64,
-            messages_per_run: 10,
-            fast_msgs_per_sec: 1000.0,
-            fast_bytes_per_sec: 64000.0,
-            legacy_msgs_per_sec: 500.0,
-            legacy_bytes_per_sec: 32000.0,
-            speedup: 2.0,
-        };
-        let report = |cell: &Bench4Cell| Bench4Report {
-            nodes: 1,
-            ppn: 4,
-            ranks: 4,
-            cells: vec![cell.clone()],
-        };
-        assert!(report(&fast).regressions_against(&report(&fast)).is_empty());
-        // 0.7x of baseline: trips the geomean floor (0.8) but not the
-        // catastrophic per-cell floor (0.5).
-        let mut slow = fast.clone();
-        slow.speedup = 1.4;
-        let bad = report(&slow).regressions_against(&report(&fast));
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].0, "geomean");
-        // 0.4x of baseline: trips both floors.
-        let mut collapsed = fast.clone();
-        collapsed.speedup = 0.8;
-        let bad = report(&collapsed).regressions_against(&report(&fast));
-        assert_eq!(bad.len(), 2);
-        assert_eq!(bad[1].0, "a");
-        // Unmatched baseline cells are ignored, not errors; the geomean
-        // check still applies.
-        let mut other = fast.clone();
-        other.algo = "b".into();
-        let bad = report(&slow).regressions_against(&report(&other));
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].0, "geomean");
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let grid = bench4_grid(1);
-        let report = Bench4Report {
-            nodes: 1,
-            ppn: grid.machine().ppn(),
-            ranks: grid.world_size(),
-            cells: vec![bench4_cell(&NonblockingAlltoall, &grid, 4)],
-        };
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: Bench4Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.cells.len(), 1);
-        assert_eq!(back.cells[0].algo, report.cells[0].algo);
-        assert!(report.table().contains("BENCH_4"));
-        assert!(report.geomean_speedup() > 0.0);
+        assert_eq!(cell.metrics.names(), BENCH4.metrics);
+        assert!(cell.metrics.0.iter().all(|&(_, v)| v > 0.0), "{cell:?}");
     }
 }
